@@ -1,10 +1,13 @@
 """Benchmark: regenerate Figure 5 (multi-disk throughput scaling)."""
 
-from repro.experiments import figure5
+from repro.experiments import EXPERIMENTS
 
 
 def test_figure5_scaling(benchmark):
-    result = benchmark.pedantic(figure5.run, rounds=1, iterations=1)
+    outcome = benchmark.pedantic(
+        EXPERIMENTS.get("figure5").run, rounds=1, iterations=1
+    )
+    result = outcome.raw
     print()
-    print(figure5.main())
+    print(outcome.render())
     assert all(result["anchors"].values()), result["anchors"]

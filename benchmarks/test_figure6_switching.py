@@ -1,20 +1,16 @@
 """Benchmark: regenerate Figure 6 (switching time decomposition)."""
 
-from repro.experiments import figure6
-from repro.experiments.common import format_table
+from repro.experiments import EXPERIMENTS
 
 
 def test_figure6_switching(benchmark):
-    # Trimmed sweep (3 counts x 3 repetitions) to keep the bench quick;
-    # the full paper sweep is figure6.run() with the defaults.
-    result = benchmark.pedantic(
-        lambda: figure6.run(disk_counts=(1, 2, 4), repetitions=3),
+    # One repetition per disk count keeps the bench quick; the full
+    # paper sweep is ``repro run figure6`` with the defaults.
+    outcome = benchmark.pedantic(
+        lambda: EXPERIMENTS.get("figure6").run(repetitions=1),
         rounds=1,
         iterations=1,
     )
     print()
-    print("Figure 6 (trimmed sweep): switching time decomposition")
-    print(format_table(result["headers"], result["rows"]))
-    for name, holds in result["anchors"].items():
-        print(f"  anchor {name}: {'OK' if holds else 'FAILED'}")
-    assert all(result["anchors"].values()), result["anchors"]
+    print(outcome.render())
+    assert outcome.anchors_ok, outcome.anchors

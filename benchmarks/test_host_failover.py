@@ -1,20 +1,14 @@
 """Benchmark: §I — single-host failure recovery (paper: 5.8 s)."""
 
-from repro.experiments import host_failover
+from repro.experiments import EXPERIMENTS
 
 
 def test_host_failover(benchmark):
-    result = benchmark.pedantic(
-        lambda: host_failover.run(repetitions=2), rounds=1, iterations=1
+    outcome = benchmark.pedantic(
+        lambda: EXPERIMENTS.get("host_failover").run(repetitions=2),
+        rounds=1,
+        iterations=1,
     )
     print()
-    for trial in result["trials"]:
-        print(
-            f"  {trial['victim']}: reattach {trial['reattach_seconds']:.1f}s, "
-            f"service {trial['service_resumed_seconds']:.1f}s"
-        )
-    print(
-        f"  mean reattach {result['mean_reattach_seconds']:.1f}s "
-        f"(paper {result['paper_recovery_seconds']}s)"
-    )
-    assert all(result["anchors"].values()), result["anchors"]
+    print(outcome.render())
+    assert outcome.anchors_ok, outcome.anchors

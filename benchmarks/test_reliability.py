@@ -1,10 +1,13 @@
 """Benchmark: reliability extensions (availability, rebuild, scrubbing)."""
 
-from repro.experiments import reliability
+from repro.experiments import EXPERIMENTS
 
 
 def test_reliability_extensions(benchmark):
-    result = benchmark.pedantic(reliability.run, rounds=1, iterations=1)
+    outcome = benchmark.pedantic(
+        EXPERIMENTS.get("reliability").run, rounds=1, iterations=1
+    )
+    result = outcome.raw
     print()
-    print(reliability.main())
+    print(outcome.render())
     assert all(result["anchors"].values()), result["anchors"]

@@ -1,11 +1,12 @@
 """Benchmark: regenerate Table II (single-disk throughput, §VII-A)."""
 
-from repro.experiments import table2
+from repro.experiments import EXPERIMENTS
 
 
 def test_table2_single_disk(benchmark):
-    result = benchmark(table2.run)
+    outcome = benchmark(EXPERIMENTS.get("table2").run)
+    result = outcome.raw
     print()
-    print(table2.main())
+    print(outcome.render())
     assert len(result["rows"]) == 36
     assert result["worst_error"] <= 0.12

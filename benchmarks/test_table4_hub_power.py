@@ -1,10 +1,11 @@
 """Benchmark: regenerate Table IV (hub power vs connected disks)."""
 
-from repro.experiments import table4
+from repro.experiments import EXPERIMENTS
 
 
 def test_table4_hub_power(benchmark):
-    result = benchmark(table4.run)
+    outcome = benchmark(EXPERIMENTS.get("table4").run)
+    result = outcome.raw
     print()
-    print(table4.main())
+    print(outcome.render())
     assert result["worst_error"] <= 0.05

@@ -1,11 +1,12 @@
 """Benchmark: regenerate Table V (system power comparison, §VII-C)."""
 
-from repro.experiments import table5
+from repro.experiments import EXPERIMENTS
 
 
 def test_table5_system_power(benchmark):
-    result = benchmark(table5.run)
+    outcome = benchmark(EXPERIMENTS.get("table5").run)
+    result = outcome.raw
     print()
-    print(table5.main())
+    print(outcome.render())
     assert result["ordering_holds"]
     assert result["worst_error"] <= 0.15

@@ -54,9 +54,8 @@ from repro.experiments import EXPERIMENTS
 from repro.fabric.bandwidth import BandwidthModel, Flow
 from repro.fabric.builders import rack_fabric
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import EventDigest, Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import EventDigest
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",

@@ -154,159 +154,147 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+#: check-determinism legs: experiment -> params the replay runs with
+#: (smaller than the defaults where a leg would otherwise dominate).
+#: figure5 settles each deployment so its digest covers real events.
+_REPLAY_LEGS: Dict[str, Dict[str, object]] = {
+    "figure5": {"settle_seconds": 12.0},
+    "reliability": {},
+    "shardstore_small_objects": {"num_objects": 400, "num_gets": 80},
+    "tiering_staging": {
+        "num_writes": 60,
+        "num_cold_reads": 16,
+        "write_seconds": 240.0,
+        "total_seconds": 520.0,
+    },
+}
+
+
 def _cmd_check_determinism(args: argparse.Namespace) -> int:
     """Run the replay-sensitive experiments once under the ``heap``
     reference scheduler and once under the ``calendar`` scheduler with
-    the race detector and the metrics registry armed; compare
-    execution-order digests and the exported metric dumps byte for
-    byte.  Because the two runs use different event-queue
-    implementations, a match certifies both replay determinism and the
-    calendar queue's ordering contract in one pass.  The gateway_slo
-    leg also runs with request tracing armed and compares the canonical
-    trace JSONL export byte for byte.  A final leg runs *every*
-    registered experiment under both schedulers and compares the full
-    result JSON documents."""
-    from repro.experiments import (
-        EXPERIMENTS,
-        figure5,
-        gateway_slo,
-        reliability,
-        shardstore_small_objects,
-        tiering_staging,
-    )
+    the race detector armed; compare execution-order digests and the
+    canonical metric dumps (``result.obs``) byte for byte.  Because the
+    two runs use different event-queue implementations, a match
+    certifies both replay determinism and the calendar queue's ordering
+    contract in one pass.  The gateway_slo leg runs both scheduler
+    points with request tracing and the energy ledger armed and also
+    compares the canonical trace and energy exports.  A final leg runs
+    *every* registered experiment under both schedulers and compares
+    the full result JSON documents and their replay digests."""
+    from repro.experiments import EXPERIMENTS, gateway_slo
     from repro.obs import (
         MetricsRegistry,
         RequestTracer,
         export_json,
         export_trace_jsonl,
     )
-    from repro.sim import EventDigest, use_scheduler
+    from repro.sim import EventDigest, use_digest, use_scheduler
 
-    trace_dumps: List[str] = []
-    energy_dumps: List[str] = []
+    def canonical(document: object) -> str:
+        # The exact bytes ``export_json`` writes for a registry dump.
+        return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
-    def run_figure5(**kwargs):
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        return figure5.run(**kwargs)
+    def run_leg(name: str) -> Dict[str, object]:
+        experiment = EXPERIMENTS.get(name)
+        result = experiment.run(
+            detect_races=True,
+            **_REPLAY_LEGS[name],
+            **_experiment_overrides(experiment, args.seed),
+        )
+        return {
+            "metrics": canonical(result.obs),
+            "races": result.raw.get("races", []),
+        }
 
-    def run_gateway_slo(**kwargs):
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
+    def run_gateway_leg() -> Dict[str, object]:
+        seed = args.seed if args.seed is not None else 11
+        registry = MetricsRegistry()
         races: List = []
-        chunks: List[str] = []
-        energy_chunks: List[str] = []
+        traces: List[str] = []
+        energy: List[str] = []
         for scheduler in ("batch", "fifo"):
             tracer = RequestTracer()
             summary = gateway_slo.run_point(
-                scheduler, tracer=tracer, energy=True, **kwargs
+                scheduler,
+                seed=seed,
+                detect_races=True,
+                metrics=registry,
+                tracer=tracer,
+                energy=True,
             )
             races.extend(summary.pop("races", []))
-            chunks.append(export_trace_jsonl(tracer.completed))
+            traces.append(export_trace_jsonl(tracer.completed))
             # Canonical energy-ledger export: every account, disk book,
             # per-request charge and spin-up blame, byte-stable.
-            energy_chunks.append(
-                json.dumps(
-                    summary["energy"]["export"],
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-        trace_dumps.append("\n".join(chunks))
-        energy_dumps.append("\n".join(energy_chunks))
-        return {"races": races}
+            energy.append(canonical(summary["energy"]["export"]))
+        return {
+            "metrics": export_json(registry),
+            "races": races,
+            "trace": "\n".join(traces),
+            "energy": "\n".join(energy),
+        }
 
-    def run_shardstore(**kwargs):
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        return shardstore_small_objects.run(
-            num_objects=400, num_gets=80, **kwargs
-        )
-
-    def run_tiering(**kwargs):
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        return tiering_staging.run(
-            num_writes=60,
-            num_cold_reads=16,
-            write_seconds=240.0,
-            total_seconds=520.0,
-            **kwargs,
-        )
-
-    checks = {
-        "figure5": run_figure5,
-        "reliability": reliability.run,
-        "gateway_slo": run_gateway_slo,
-        "shardstore_small_objects": run_shardstore,
-        "tiering_staging": run_tiering,
-    }
+    legs = {name: (lambda name=name: run_leg(name)) for name in _REPLAY_LEGS}
+    legs["gateway_slo"] = run_gateway_leg
     failures = 0
     report: Dict[str, Dict] = {}
-    for name, runner in checks.items():
+    for name in legs:
         digests: List[str] = []
-        dumps: List[str] = []
-        races: List = []
+        outputs: List[Dict[str, object]] = []
         for scheduler_name in ("heap", "calendar"):
             digest = EventDigest()
-            registry = MetricsRegistry()
-            with use_scheduler(scheduler_name):
-                result = runner(
-                    detect_races=True, event_digest=digest, metrics=registry
-                )
+            with use_scheduler(scheduler_name), use_digest(digest):
+                outputs.append(legs[name]())
             digests.append(digest.hexdigest())
-            dumps.append(export_json(registry))
-            races = result.get("races", [])
-        identical = digests[0] == digests[1]
-        metrics_identical = dumps[0] == dumps[1]
-        report[name] = {
+        entry: Dict[str, object] = {
             "digest": digests[0],
-            "digest_identical": identical,
-            "metrics_identical": metrics_identical,
-            "races": len(races),
+            "digest_identical": digests[0] == digests[1],
+            "metrics_identical": outputs[0]["metrics"] == outputs[1]["metrics"],
+            "races": len(outputs[1]["races"]),
         }
-        trace_identical = True
-        energy_identical = True
-        if name == "gateway_slo" and len(trace_dumps) == 2:
-            trace_identical = trace_dumps[0] == trace_dumps[1]
-            report[name]["trace_identical"] = trace_identical
-        if name == "gateway_slo" and len(energy_dumps) == 2:
-            energy_identical = energy_dumps[0] == energy_dumps[1]
-            report[name]["energy_identical"] = energy_identical
+        if name == "gateway_slo":
+            entry["trace_identical"] = outputs[0]["trace"] == outputs[1]["trace"]
+            entry["energy_identical"] = outputs[0]["energy"] == outputs[1]["energy"]
+        report[name] = entry
         if not args.as_json:
             print(f"{name}:")
             print(f"  replay digest: {digests[0][:16]}…  "
-                  f"{'identical heap vs calendar' if identical else 'MISMATCH: ' + digests[1][:16]}")
-            print(f"  metric dump: "
-                  f"{'byte-identical heap vs calendar' if metrics_identical else 'MISMATCH'}")
-            if "trace_identical" in report[name]:
-                print(f"  trace export: "
-                      f"{'byte-identical heap vs calendar' if trace_identical else 'MISMATCH'}")
-            if "energy_identical" in report[name]:
-                print(f"  energy export: "
-                      f"{'byte-identical heap vs calendar' if energy_identical else 'MISMATCH'}")
-            print(f"  same-timestamp races: {len(races)}")
-            for race in races:
+                  f"{'identical heap vs calendar' if entry['digest_identical'] else 'MISMATCH: ' + digests[1][:16]}")
+            for key, label in (
+                ("metrics_identical", "metric dump"),
+                ("trace_identical", "trace export"),
+                ("energy_identical", "energy export"),
+            ):
+                if key in entry:
+                    print(f"  {label}: "
+                          f"{'byte-identical heap vs calendar' if entry[key] else 'MISMATCH'}")
+            print(f"  same-timestamp races: {entry['races']}")
+            for race in outputs[1]["races"]:
                 print(f"    {race.render()}")
-        if (
-            not identical
-            or not metrics_identical
-            or not trace_identical
-            or not energy_identical
-            or races
+        if entry["races"] or not all(
+            value for key, value in entry.items() if key.endswith("_identical")
         ):
             failures += 1
 
     scheduler_report: Dict[str, bool] = {}
+    scheduler_digests: Dict[str, str] = {}
     for name in EXPERIMENTS.names():
         experiment = EXPERIMENTS.get(name)
         overrides = _experiment_overrides(experiment, args.seed)
         documents: List[str] = []
+        digests = []
         for scheduler_name in ("heap", "calendar"):
-            with use_scheduler(scheduler_name):
+            digest = EventDigest()
+            with use_scheduler(scheduler_name), use_digest(digest):
                 documents.append(experiment.run(**overrides).to_json())
-        scheduler_report[name] = documents[0] == documents[1]
+            digests.append(digest.hexdigest())
+        scheduler_report[name] = (
+            documents[0] == documents[1] and digests[0] == digests[1]
+        )
+        scheduler_digests[name] = digests[0]
     report["scheduler_equivalence"] = scheduler_report
+    report["scheduler_digests"] = scheduler_digests
     equivalent = all(scheduler_report.values())
     if not equivalent:
         failures += 1
@@ -314,7 +302,7 @@ def _cmd_check_determinism(args: argparse.Namespace) -> int:
         mismatched = sorted(n for n, ok in scheduler_report.items() if not ok)
         print("scheduler equivalence (heap vs calendar, all experiments):")
         print(f"  {len(scheduler_report)} experiments: "
-              + ("result JSON byte-identical"
+              + ("result JSON and replay digests identical"
                  if equivalent else f"MISMATCH in {', '.join(mismatched)}"))
     if args.as_json:
         print(json.dumps({"checks": report, "ok": failures == 0},

@@ -480,22 +480,21 @@ class Master:
             if tracer.enabled
             else NULL_TRACE
         )
-        with self.sim.metrics.span("master.failover"):
-            for controller in controllers:
-                try:
-                    moved = yield from self._fail_over_via(
-                        controller, orphans, dict(load)
-                    )
-                    if moved:
-                        ctx.event("failover.controller_ok", controller=controller)
-                        break
-                except (RpcTimeout, RemoteError):
-                    # Primary controller unreachable: try the backup.
-                    ctx.event("failover.controller_unreachable", controller=controller)
-                    continue
-            ctx.phase("failover")
-            yield from self._re_expose(moved)
-            ctx.phase("network")
+        for controller in controllers:
+            try:
+                moved = yield from self._fail_over_via(
+                    controller, orphans, dict(load)
+                )
+                if moved:
+                    ctx.event("failover.controller_ok", controller=controller)
+                    break
+            except (RpcTimeout, RemoteError):
+                # Primary controller unreachable: try the backup.
+                ctx.event("failover.controller_unreachable", controller=controller)
+                continue
+        ctx.phase("failover")
+        yield from self._re_expose(moved)
+        ctx.phase("network")
         if moved:
             self.failovers_completed += 1
             self._m_failovers.inc()

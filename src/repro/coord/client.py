@@ -55,8 +55,24 @@ class CoordSession:
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> Generator[Event, None, None]:
-        """Create the session on the cluster and start keepalives."""
-        yield from self._op(["create_session", self.session_id, self.session_timeout])
+        """Create the session on the cluster and start keepalives.
+
+        Keeps retrying while the servers it reaches answer ``NotLeader``:
+        at boot the first election can outlast ``_leader_call``'s retry
+        rounds, and session creation is idempotent, so a retry is always
+        safe.  A cluster that cannot be reached at all still raises
+        ``RpcTimeout``.
+        """
+        while True:
+            try:
+                yield from self._op(
+                    ["create_session", self.session_id, self.session_timeout]
+                )
+                break
+            except RemoteError as exc:
+                if "NotLeader:" not in str(exc):
+                    raise
+            yield self.sim.timeout(0.25)  # same back-off as _leader_call
         self.started = True
         self.sim.process(self._ping_loop())
 

@@ -5,12 +5,10 @@ declaring its name, the paper artifact it reproduces (``paper_ref``)
 and its tunable ``params``; running it returns a typed
 :class:`ExperimentResult` — headline metrics, the paper's expected
 values, relative errors, an optional obs-registry snapshot, and the
-legacy raw dict — which serialises to a versioned JSON document
-(``repro run <name> --json``) or renders as the familiar text report.
-
-The legacy module-level ``run() -> dict`` entrypoints are kept as the
-builders' data source, so existing callers and tests see identical
-dicts; ``main()`` becomes a thin shim over ``EXPERIMENT.run().render()``.
+raw data dict — which serialises to a versioned JSON document
+(``repro run <name> --json``) or renders as the text report.  Each
+experiment module has exactly one builder, registered as its
+``EXPERIMENT``; there is no second, module-level entry point.
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.base import RESULT_SCHEMA_VERSION
+from repro.obs import MetricsRegistry
 
 __all__ = [
     "CAMPAIGN_SCHEMA_VERSION",
@@ -76,16 +77,18 @@ class CampaignCell:
         return dict(self.params)
 
     def digest(self) -> str:
-        """Content address: experiment + result schema + canonical params.
+        """Content address: experiment + result schemas + canonical params.
 
-        The result-schema version is part of the key so a cache
-        populated before an :class:`ExperimentResult` layout change is
-        transparently invalidated rather than served in the old shape.
+        The result- and metrics-dump schema versions are part of the key
+        so a cache populated before an :class:`ExperimentResult` or
+        ``obs`` layout change is transparently invalidated rather than
+        served in the old shape.
         """
         payload = json.dumps(
             {
                 "experiment": self.experiment,
                 "result_schema_version": RESULT_SCHEMA_VERSION,
+                "metrics_schema_version": MetricsRegistry.SCHEMA_VERSION,
                 "params": dict(self.params),
             },
             sort_keys=True,

@@ -26,7 +26,7 @@ from repro.obs import MetricsRegistry
 from repro.sim import Event, Interrupt
 from repro.workload.specs import KB, MB
 
-__all__ = ["DISK_COUNTS", "EXPERIMENT", "run", "run_single"]
+__all__ = ["DISK_COUNTS", "EXPERIMENT", "run_single"]
 
 DISK_COUNTS = (1, 2, 4, 6, 8)
 REPETITIONS = 6
@@ -127,16 +127,13 @@ def run_single(
     }
 
 
-def run(
-    disk_counts=DISK_COUNTS,
-    repetitions: int = REPETITIONS,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Dict:
+def _build_result(repetitions: int = REPETITIONS) -> ExperimentResult:
+    registry = MetricsRegistry()
     rows: List[List] = []
     series: Dict[int, Dict[str, float]] = {}
-    for count in disk_counts:
+    for count in DISK_COUNTS:
         trials = [
-            run_single(count, seed=100 * count + r, metrics=metrics)
+            run_single(count, seed=100 * count + r, metrics=registry)
             for r in range(repetitions)
         ]
         mean = {
@@ -153,7 +150,7 @@ def run(
                 round(mean["total"], 2),
             ]
         )
-    part1s = [series[c]["part1"] for c in disk_counts]
+    part1s = [series[c]["part1"] for c in DISK_COUNTS]
     anchors = {
         # Paper: "the first part delay increases with the number of
         # switched disks while the second and third parts have little
@@ -161,33 +158,19 @@ def run(
         "part1_grows_with_count": all(
             part1s[i] < part1s[i + 1] for i in range(len(part1s) - 1)
         ),
-        "part2_stable": max(series[c]["part2"] for c in disk_counts)
-        - min(series[c]["part2"] for c in disk_counts)
+        "part2_stable": max(series[c]["part2"] for c in DISK_COUNTS)
+        - min(series[c]["part2"] for c in DISK_COUNTS)
         < 1.0,
-        "part3_stable": max(series[c]["part3"] for c in disk_counts)
-        - min(series[c]["part3"] for c in disk_counts)
+        "part3_stable": max(series[c]["part3"] for c in DISK_COUNTS)
+        - min(series[c]["part3"] for c in DISK_COUNTS)
         < 1.0,
     }
-    return {
+    raw = {
         "headers": ["Disks", "Part1 s", "Part2 s", "Part3 s", "Total s"],
         "rows": rows,
         "series": series,
         "anchors": anchors,
     }
-
-
-def _report(result: Dict) -> str:
-    lines = ["Figure 6: switching time decomposition (mean of repetitions)", ""]
-    lines.append(format_table(result["headers"], result["rows"]))
-    lines.append("")
-    for name, holds in result["anchors"].items():
-        lines.append(f"  anchor {name}: {'OK' if holds else 'FAILED'}")
-    return "\n".join(lines)
-
-
-def _build_result(repetitions: int = REPETITIONS) -> ExperimentResult:
-    registry = MetricsRegistry()
-    raw = run(repetitions=repetitions, metrics=registry)
     return ExperimentResult(
         name="figure6",
         paper_ref="Figure 6 / §VII-A",
@@ -208,6 +191,15 @@ def _build_result(repetitions: int = REPETITIONS) -> ExperimentResult:
     )
 
 
+def _report(result: Dict) -> str:
+    lines = ["Figure 6: switching time decomposition (mean of repetitions)", ""]
+    lines.append(format_table(result["headers"], result["rows"]))
+    lines.append("")
+    for name, holds in result["anchors"].items():
+        lines.append(f"  anchor {name}: {'OK' if holds else 'FAILED'}")
+    return "\n".join(lines)
+
+
 EXPERIMENT = Experiment(
     name="figure6",
     paper_ref="Figure 6 / §VII-A",
@@ -216,10 +208,3 @@ EXPERIMENT = Experiment(
     params={"repetitions": REPETITIONS},
 )
 
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

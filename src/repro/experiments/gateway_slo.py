@@ -40,10 +40,9 @@ from repro.obs import (
     SloObjective,
 )
 from repro.power import PowerMeter
-from repro.sim import EventDigest
 from repro.workload.specs import KB, MB
 
-__all__ = ["EXPERIMENT", "TENANTS", "run", "run_point", "slo_objectives"]
+__all__ = ["EXPERIMENT", "TENANTS", "run_point", "slo_objectives"]
 
 #: The two-tenant mix: many small interactive cold-readers plus a few
 #: heavy archival pipelines (open loop: rate = users x rate_per_user).
@@ -92,7 +91,6 @@ def run_point(
     power_budget_watts: float = 24.0,
     load_scale: float = 1.0,
     detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[RequestTracer] = None,
     energy: bool = False,
@@ -121,8 +119,6 @@ def run_point(
         metrics=metrics,
         tracer=attribution_tracer,
     )
-    if event_digest is not None:
-        event_digest.attach(deployment.sim)
     monitor: Optional[SloMonitor] = None
     recorder: Optional[FlightRecorder] = None
     if tracer is not None and tracer.enabled:
@@ -195,86 +191,6 @@ def run_point(
         monitor.detach()
         recorder.detach()
     return summary
-
-
-def run(
-    detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    seed: int = 11,
-    duration: float = 180.0,
-    power_budget_watts: float = 24.0,
-    load_scale: float = 1.0,
-    trace: bool = False,
-    energy: bool = True,
-) -> Dict:
-    """Run both schedulers on identically seeded deployments."""
-    variants: Dict[str, Dict] = {}
-    races: List = []
-    for scheduler in ("batch", "fifo"):
-        # Fresh tracer per variant: each deployment restarts sim time
-        # at zero, so sharing one would interleave unrelated windows.
-        tracer = RequestTracer() if trace else None
-        summary = run_point(
-            scheduler,
-            seed=seed,
-            duration=duration,
-            power_budget_watts=power_budget_watts,
-            load_scale=load_scale,
-            detect_races=detect_races,
-            event_digest=event_digest,
-            metrics=metrics,
-            tracer=tracer,
-            energy=energy,
-        )
-        if detect_races:
-            races.extend(summary.pop("races", []))
-        variants[scheduler] = summary
-    batch, fifo = variants["batch"], variants["fifo"]
-
-    def _exactly_once(summary: Dict) -> bool:
-        return (
-            summary["failed"] == 0
-            and summary["completed"] == summary["admitted"]
-            and bool(summary["drained"])
-        )
-
-    anchors = {
-        # §IV-F: one spin-up amortized over a batch beats one per read.
-        "batch_fewer_spin_ups": batch["spin_ups"] < fifo["spin_ups"],
-        "batch_p99_lower": batch["latency_p99"] < fifo["latency_p99"],
-        "no_requests_lost": _exactly_once(batch) and _exactly_once(fifo),
-        "batch_lower_energy": batch["energy_joules"] < fifo["energy_joules"],
-    }
-    if trace:
-        # Every traced request's phase segments must sum to its
-        # measured end-to-end latency — the attribution identity.
-        anchors["attribution_identity"] = all(
-            variant["trace"]["attribution"]["identity_failures"] == 0
-            for variant in variants.values()
-        )
-    if energy:
-        # The §15 conservation identity: per-account joules sum to the
-        # PowerMeter wall integral in both variants.
-        anchors["energy_conserved"] = all(
-            variant["energy"]["identity"]["conserved"]
-            for variant in variants.values()
-        )
-    result: Dict = {
-        "params": {
-            "seed": seed,
-            "duration": duration,
-            "power_budget_watts": power_budget_watts,
-            "load_scale": load_scale,
-            "trace": trace,
-            "energy": energy,
-        },
-        "variants": variants,
-        "anchors": anchors,
-    }
-    if detect_races:
-        result["races"] = races
-    return result
 
 
 def _report(result: Dict) -> str:
@@ -362,17 +278,70 @@ def _build_result(
     energy: bool = True,
 ) -> ExperimentResult:
     registry = MetricsRegistry()
-    raw = run(
-        detect_races=detect_races,
-        metrics=registry,
-        seed=seed,
-        duration=duration,
-        power_budget_watts=power_budget_watts,
-        load_scale=load_scale,
-        trace=trace,
-        energy=energy,
-    )
-    batch, fifo = raw["variants"]["batch"], raw["variants"]["fifo"]
+    variants: Dict[str, Dict] = {}
+    races: List = []
+    for scheduler in ("batch", "fifo"):
+        # Fresh tracer per variant: each deployment restarts sim time
+        # at zero, so sharing one would interleave unrelated windows.
+        tracer = RequestTracer() if trace else None
+        summary = run_point(
+            scheduler,
+            seed=seed,
+            duration=duration,
+            power_budget_watts=power_budget_watts,
+            load_scale=load_scale,
+            detect_races=detect_races,
+            metrics=registry,
+            tracer=tracer,
+            energy=energy,
+        )
+        if detect_races:
+            races.extend(summary.pop("races", []))
+        variants[scheduler] = summary
+    batch, fifo = variants["batch"], variants["fifo"]
+
+    def _exactly_once(summary: Dict) -> bool:
+        return (
+            summary["failed"] == 0
+            and summary["completed"] == summary["admitted"]
+            and bool(summary["drained"])
+        )
+
+    anchors = {
+        # §IV-F: one spin-up amortized over a batch beats one per read.
+        "batch_fewer_spin_ups": batch["spin_ups"] < fifo["spin_ups"],
+        "batch_p99_lower": batch["latency_p99"] < fifo["latency_p99"],
+        "no_requests_lost": _exactly_once(batch) and _exactly_once(fifo),
+        "batch_lower_energy": batch["energy_joules"] < fifo["energy_joules"],
+    }
+    if trace:
+        # Every traced request's phase segments must sum to its
+        # measured end-to-end latency — the attribution identity.
+        anchors["attribution_identity"] = all(
+            variant["trace"]["attribution"]["identity_failures"] == 0
+            for variant in variants.values()
+        )
+    if energy:
+        # The §15 conservation identity: per-account joules sum to the
+        # PowerMeter wall integral in both variants.
+        anchors["energy_conserved"] = all(
+            variant["energy"]["identity"]["conserved"]
+            for variant in variants.values()
+        )
+    raw: Dict = {
+        "params": {
+            "seed": seed,
+            "duration": duration,
+            "power_budget_watts": power_budget_watts,
+            "load_scale": load_scale,
+            "trace": trace,
+            "energy": energy,
+        },
+        "variants": variants,
+        "anchors": anchors,
+    }
+    if detect_races:
+        raw["races"] = races
     metrics_out = {
         "batch_spin_ups": batch["spin_ups"],
         "fifo_spin_ups": fifo["spin_ups"],
@@ -428,10 +397,3 @@ EXPERIMENT = Experiment(
     },
 )
 
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

@@ -28,12 +28,12 @@ from repro.reliability import (
     fabric_assisted_rebuild,
     network_rebuild,
 )
-from repro.sim import EventDigest, RngRegistry, Simulator
+from repro.sim import RngRegistry, Simulator
 from repro.units import GB as GB_DECIMAL
 from repro.units import TB
 from repro.workload.specs import MB
 
-__all__ = ["EXPERIMENT", "run"]
+__all__ = ["EXPERIMENT"]
 
 GB = 1024 * MB
 
@@ -52,9 +52,7 @@ def _availability() -> Dict:
 
 
 def _reconstruction(
-    detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    detect_races: bool = False, metrics: Optional[MetricsRegistry] = None
 ) -> Dict:
     rows = []
     for size_tb in (0.5, 1.0, 3.0):
@@ -74,8 +72,6 @@ def _reconstruction(
     deployment = build_deployment(
         config=DeploymentConfig(detect_races=detect_races), metrics=metrics
     )
-    if event_digest is not None:
-        event_digest.attach(deployment.sim)
     deployment.settle(15.0)
     drill = RebuildDrill(deployment)
 
@@ -99,16 +95,12 @@ def _reconstruction(
 
 
 def _scrubbing(
-    detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    detect_races: bool = False, metrics: Optional[MetricsRegistry] = None
 ) -> Dict:
     latencies = {}
     races: List = []
     for interval_hours in (6.0, 24.0, 7 * 24.0):
         sim = Simulator(detect_races=detect_races, metrics=metrics)
-        if event_digest is not None:
-            event_digest.attach(sim)
         disk = SimulatedDisk(sim, "d0")
         model = LatentErrorModel(
             sim=sim, disk=disk, rng=RngRegistry(21), annual_lse_rate=0.0001
@@ -128,44 +120,6 @@ def _scrubbing(
         if detect_races:
             races.extend(sim.races)
     return {"detection_latency_hours": latencies, "races": races}
-
-
-def run(
-    detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> Dict:
-    """Run all three studies.
-
-    ``detect_races`` turns on the kernel's same-timestamp race detector
-    for the event-driven paths (rebuild drill, scrubbing) and adds a
-    ``"races"`` entry to the result; ``event_digest`` folds every
-    simulator's execution order into the given digest; ``metrics`` arms
-    the obs layer on the event-driven simulators.
-    """
-    availability = _availability()
-    reconstruction = _reconstruction(detect_races, event_digest, metrics)
-    scrubbing = _scrubbing(detect_races, event_digest, metrics)
-    drill = reconstruction["drill"]
-    result: Dict = {
-        "availability": availability,
-        "reconstruction": reconstruction,
-        "scrubbing": scrubbing,
-        "anchors": {
-            "ustore_gains_nines": availability["ustore"]["nines"]
-            > availability["single_attached"]["nines"] + 1.0,
-            "fabric_rebuild_faster": drill["fabric"]["seconds"]
-            < drill["network"]["seconds"],
-            "fabric_rebuild_offloads_network": drill["fabric"]["network_bytes"] == 0,
-            "shorter_scrub_detects_sooner": (
-                scrubbing["detection_latency_hours"]["6h"]
-                < scrubbing["detection_latency_hours"]["168h"]
-            ),
-        },
-    }
-    if detect_races:
-        result["races"] = reconstruction["races"] + scrubbing["races"]
-    return result
 
 
 def _report(result: Dict) -> str:
@@ -198,10 +152,36 @@ def _report(result: Dict) -> str:
     return "\n".join(lines)
 
 
-def _build_result() -> ExperimentResult:
+def _build_result(detect_races: bool = False) -> ExperimentResult:
+    """Run all three studies.
+
+    ``detect_races`` turns on the kernel's same-timestamp race detector
+    for the event-driven paths (rebuild drill, scrubbing) and adds a
+    ``"races"`` entry to the raw result.
+    """
     registry = MetricsRegistry()
-    raw = run(metrics=registry)
-    drill = raw["reconstruction"]["drill"]
+    availability = _availability()
+    reconstruction = _reconstruction(detect_races, registry)
+    scrubbing = _scrubbing(detect_races, registry)
+    drill = reconstruction["drill"]
+    raw: Dict = {
+        "availability": availability,
+        "reconstruction": reconstruction,
+        "scrubbing": scrubbing,
+        "anchors": {
+            "ustore_gains_nines": availability["ustore"]["nines"]
+            > availability["single_attached"]["nines"] + 1.0,
+            "fabric_rebuild_faster": drill["fabric"]["seconds"]
+            < drill["network"]["seconds"],
+            "fabric_rebuild_offloads_network": drill["fabric"]["network_bytes"] == 0,
+            "shorter_scrub_detects_sooner": (
+                scrubbing["detection_latency_hours"]["6h"]
+                < scrubbing["detection_latency_hours"]["168h"]
+            ),
+        },
+    }
+    if detect_races:
+        raw["races"] = reconstruction["races"] + scrubbing["races"]
     return ExperimentResult(
         name="reliability",
         paper_ref="§IV-E / §VIII (future work, quantified)",
@@ -230,12 +210,5 @@ EXPERIMENT = Experiment(
     paper_ref="§IV-E / §VIII",
     description="Availability, rebuild and scrubbing studies",
     builder=_build_result,
+    params={"detect_races": False},
 )
-
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

@@ -48,11 +48,10 @@ from repro.shardstore import (
     ShardStoreConfig,
     stable_hash,
 )
-from repro.sim import EventDigest
 from repro.units import MiB
 from repro.workload.specs import KB, MB
 
-__all__ = ["EXPERIMENT", "TENANT", "run", "run_point"]
+__all__ = ["EXPERIMENT", "TENANT", "run_point"]
 
 TENANT = TenantSpec(
     name="objects",
@@ -91,15 +90,12 @@ def _build_gateway(
     seed: int,
     power_budget_watts: float,
     detect_races: bool,
-    event_digest: Optional[EventDigest],
     metrics: Optional[MetricsRegistry],
 ):
     deployment = build_deployment(
         config=DeploymentConfig(detect_races=detect_races, seed=seed),
         metrics=metrics,
     )
-    if event_digest is not None:
-        event_digest.attach(deployment.sim)
     deployment.settle(SETTLE_SECONDS)
     objects, spaces = mount_gateway_spaces(deployment, SPACE_BYTES)
     for disk_id in sorted(deployment.disks):
@@ -139,7 +135,6 @@ def run_point(
     num_gets: int = 200,
     power_budget_watts: float = 24.0,
     detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Dict:
     """Run one placement variant on a fresh identically-seeded deployment.
@@ -153,7 +148,7 @@ def run_point(
     if layout not in ("packed", "naive"):
         raise ValueError(f"unknown layout {layout!r}")
     deployment, gateway = _build_gateway(
-        seed, power_budget_watts, detect_races, event_digest, metrics
+        seed, power_budget_watts, detect_races, metrics
     )
     sim = deployment.sim
     uids = [f"u{index:05d}" for index in range(num_objects)]
@@ -283,61 +278,6 @@ def run_point(
     return summary
 
 
-def run(
-    detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    seed: int = 17,
-    num_objects: int = 1000,
-    object_bytes: int = 64 * KB,
-    num_gets: int = 200,
-    power_budget_watts: float = 24.0,
-) -> Dict:
-    """Run both layouts on identically seeded deployments."""
-    variants: Dict[str, Dict] = {}
-    races: List = []
-    for layout in ("packed", "naive"):
-        summary = run_point(
-            layout,
-            seed=seed,
-            num_objects=num_objects,
-            object_bytes=object_bytes,
-            num_gets=num_gets,
-            power_budget_watts=power_budget_watts,
-            detect_races=detect_races,
-            event_digest=event_digest,
-            metrics=metrics,
-        )
-        if detect_races:
-            races.extend(summary.pop("races", []))
-        variants[layout] = summary
-    packed, naive = variants["packed"], variants["naive"]
-    anchors = {
-        # One spin-up amortized over a shard's worth of objects.
-        "packed_fewer_spin_ups": packed["spin_ups"] < naive["spin_ups"],
-        "packed_get_p99_lower": packed["get_p99"] < naive["get_p99"],
-        "packed_no_more_energy": packed["energy_joules"] <= naive["energy_joules"],
-        "exactly_once_both": bool(
-            packed["exactly_once"] and naive["exactly_once"]
-        ),
-        "both_drained": bool(packed["drained"] and naive["drained"]),
-    }
-    result: Dict = {
-        "params": {
-            "seed": seed,
-            "num_objects": num_objects,
-            "object_bytes": object_bytes,
-            "num_gets": num_gets,
-            "power_budget_watts": power_budget_watts,
-        },
-        "variants": variants,
-        "anchors": anchors,
-    }
-    if detect_races:
-        result["races"] = races
-    return result
-
-
 def _report(result: Dict) -> str:
     lines = [
         "Shardstore: packed shard layout vs naive per-object placement",
@@ -387,16 +327,46 @@ def _build_result(
     detect_races: bool = False,
 ) -> ExperimentResult:
     registry = MetricsRegistry()
-    raw = run(
-        detect_races=detect_races,
-        metrics=registry,
-        seed=seed,
-        num_objects=num_objects,
-        object_bytes=object_bytes,
-        num_gets=num_gets,
-        power_budget_watts=power_budget_watts,
-    )
-    packed, naive = raw["variants"]["packed"], raw["variants"]["naive"]
+    variants: Dict[str, Dict] = {}
+    races: List = []
+    for layout in ("packed", "naive"):
+        summary = run_point(
+            layout,
+            seed=seed,
+            num_objects=num_objects,
+            object_bytes=object_bytes,
+            num_gets=num_gets,
+            power_budget_watts=power_budget_watts,
+            detect_races=detect_races,
+            metrics=registry,
+        )
+        if detect_races:
+            races.extend(summary.pop("races", []))
+        variants[layout] = summary
+    packed, naive = variants["packed"], variants["naive"]
+    anchors = {
+        # One spin-up amortized over a shard's worth of objects.
+        "packed_fewer_spin_ups": packed["spin_ups"] < naive["spin_ups"],
+        "packed_get_p99_lower": packed["get_p99"] < naive["get_p99"],
+        "packed_no_more_energy": packed["energy_joules"] <= naive["energy_joules"],
+        "exactly_once_both": bool(
+            packed["exactly_once"] and naive["exactly_once"]
+        ),
+        "both_drained": bool(packed["drained"] and naive["drained"]),
+    }
+    raw: Dict = {
+        "params": {
+            "seed": seed,
+            "num_objects": num_objects,
+            "object_bytes": object_bytes,
+            "num_gets": num_gets,
+            "power_budget_watts": power_budget_watts,
+        },
+        "variants": variants,
+        "anchors": anchors,
+    }
+    if detect_races:
+        raw["races"] = races
     return ExperimentResult(
         name="shardstore_small_objects",
         paper_ref="§IV-F extended to the object-count workload",
@@ -445,10 +415,3 @@ EXPERIMENT = Experiment(
     },
 )
 
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

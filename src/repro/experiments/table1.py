@@ -13,7 +13,7 @@ from repro.cost import cost_table, ustore_savings_vs_backblaze
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.common import format_table, relative_error
 
-__all__ = ["EXPERIMENT", "PAPER_TABLE1", "run"]
+__all__ = ["EXPERIMENT", "PAPER_TABLE1"]
 
 #: Paper values, thousands of dollars: (CapEx, AttEx).
 PAPER_TABLE1 = {
@@ -25,7 +25,7 @@ PAPER_TABLE1 = {
 }
 
 
-def run() -> Dict:
+def _build_result() -> ExperimentResult:
     rows: List[List] = []
     for estimate in cost_table():
         paper_capex, paper_attex = PAPER_TABLE1[estimate.system]
@@ -40,28 +40,13 @@ def run() -> Dict:
             ]
         )
     savings = ustore_savings_vs_backblaze()
-    return {
+    raw = {
         "headers": ["System", "Media", "CapEx$k", "paper", "AttEx$k", "paper"],
         "rows": rows,
         "capex_saving_vs_backblaze": savings["capex_saving"],
         "attex_saving_vs_backblaze": savings["attex_saving"],
         "paper_claims": {"capex_saving": 0.24, "attex_saving": 0.55},
     }
-
-
-def _report(result: Dict) -> str:
-    lines = ["Table I: estimated CapEx of a 10PB raw deployment", ""]
-    lines.append(format_table(result["headers"], result["rows"]))
-    lines.append("")
-    lines.append(
-        f"UStore vs BACKBLAZE: CapEx {result['capex_saving_vs_backblaze']:.0%} lower "
-        f"(paper: 24%), AttEx {result['attex_saving_vs_backblaze']:.0%} lower (paper: 55%)"
-    )
-    return "\n".join(lines)
-
-
-def _build_result() -> ExperimentResult:
-    raw = run()
     claims = raw["paper_claims"]
     return ExperimentResult(
         name="table1",
@@ -84,17 +69,20 @@ def _build_result() -> ExperimentResult:
     )
 
 
+def _report(result: Dict) -> str:
+    lines = ["Table I: estimated CapEx of a 10PB raw deployment", ""]
+    lines.append(format_table(result["headers"], result["rows"]))
+    lines.append("")
+    lines.append(
+        f"UStore vs BACKBLAZE: CapEx {result['capex_saving_vs_backblaze']:.0%} lower "
+        f"(paper: 24%), AttEx {result['attex_saving_vs_backblaze']:.0%} lower (paper: 55%)"
+    )
+    return "\n".join(lines)
+
+
 EXPERIMENT = Experiment(
     name="table1",
     paper_ref="Table I",
     description="CapEx comparison of five storage solutions (10 PB)",
     builder=_build_result,
 )
-
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

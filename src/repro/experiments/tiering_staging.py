@@ -51,7 +51,6 @@ from repro.obs import (
 )
 from repro.power import PowerMeter
 from repro.shardstore import stable_hash
-from repro.sim import EventDigest
 from repro.tiering import (
     MigrationOrchestrator,
     TieredStore,
@@ -61,7 +60,7 @@ from repro.tiering import (
 from repro.units import MiB
 from repro.workload.specs import KB, MB
 
-__all__ = ["EXPERIMENT", "ARCHIVE", "MIGRATION", "run", "run_point"]
+__all__ = ["EXPERIMENT", "ARCHIVE", "MIGRATION", "run_point"]
 
 ARCHIVE = TenantSpec(
     name="archive",
@@ -113,7 +112,6 @@ def _build_gateway(
     power_budget_watts: float,
     pinned: tuple,
     detect_races: bool,
-    event_digest: Optional[EventDigest],
     metrics: Optional[MetricsRegistry],
     tracer: Optional[RequestTracer],
 ):
@@ -122,8 +120,6 @@ def _build_gateway(
         metrics=metrics,
         tracer=tracer,
     )
-    if event_digest is not None:
-        event_digest.attach(deployment.sim)
     deployment.settle(SETTLE_SECONDS)
     objects, spaces = mount_gateway_spaces(deployment, SPACE_BYTES)
     for disk_id in sorted(deployment.disks):
@@ -174,7 +170,6 @@ def run_point(
     total_seconds: float = 950.0,
     power_budget_watts: float = 40.0,
     detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[RequestTracer] = None,
     energy: bool = False,
@@ -203,7 +198,6 @@ def run_point(
         power_budget_watts,
         pinned=(mode == "staged"),
         detect_races=detect_races,
-        event_digest=event_digest,
         metrics=metrics,
         tracer=attribution_tracer,
     )
@@ -383,90 +377,6 @@ def run_point(
     return summary
 
 
-def run(
-    detect_races: bool = False,
-    event_digest: Optional[EventDigest] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    seed: int = 23,
-    num_writes: int = 240,
-    object_bytes: int = 256 * KB,
-    num_cold_reads: int = 40,
-    write_seconds: float = 600.0,
-    total_seconds: float = 950.0,
-    power_budget_watts: float = 40.0,
-    energy: bool = True,
-) -> Dict:
-    """Run both treatments on identically seeded deployments."""
-    variants: Dict[str, Dict] = {}
-    races: List = []
-    for mode in ("staged", "write_through"):
-        summary = run_point(
-            mode,
-            seed=seed,
-            num_writes=num_writes,
-            object_bytes=object_bytes,
-            num_cold_reads=num_cold_reads,
-            write_seconds=write_seconds,
-            total_seconds=total_seconds,
-            power_budget_watts=power_budget_watts,
-            detect_races=detect_races,
-            event_digest=event_digest,
-            metrics=metrics,
-            energy=energy,
-        )
-        if detect_races:
-            races.extend(summary.pop("races", []))
-        variants[mode] = summary
-    staged = variants["staged"]
-    through = variants["write_through"]
-    anchors = {
-        # Batched sequential demotion amortizes spin-ups that
-        # write-through pays per object.
-        "staged_fewer_spin_ups": staged["spin_ups"] < through["spin_ups"],
-        # Acks come off the always-spinning hot tier.
-        "staged_write_p99_lower": staged["write_p99"] < through["write_p99"],
-        # Background migration must not tax foreground cold readers by
-        # more than 5%.
-        "staged_cold_read_p99_within_5pct": (
-            staged["cold_read_p99"] <= 1.05 * through["cold_read_p99"]
-        ),
-        "staged_lower_energy": staged["energy_joules"] < through["energy_joules"],
-        "exactly_once_both": bool(
-            staged["exactly_once"] and through["exactly_once"]
-        ),
-        "both_drained": bool(staged["drained"] and through["drained"]),
-    }
-    if energy:
-        # §15 conservation identity holds in both variants, and the
-        # background demotion traffic books under the dedicated
-        # migration tenant, never under the user tenant.
-        anchors["energy_conserved"] = all(
-            variant["energy"]["identity"]["conserved"]
-            for variant in variants.values()
-        )
-        anchors["migration_energy_separated"] = (
-            staged["energy"]["accounts"].get("tenant:migration", 0.0) > 0.0
-            and "tenant:migration" not in through["energy"]["accounts"]
-        )
-    result: Dict = {
-        "params": {
-            "seed": seed,
-            "num_writes": num_writes,
-            "object_bytes": object_bytes,
-            "num_cold_reads": num_cold_reads,
-            "write_seconds": write_seconds,
-            "total_seconds": total_seconds,
-            "power_budget_watts": power_budget_watts,
-            "energy": energy,
-        },
-        "variants": variants,
-        "anchors": anchors,
-    }
-    if detect_races:
-        result["races"] = races
-    return result
-
-
 def _report(result: Dict) -> str:
     lines = [
         "Tiering: staged writes vs write-through to cold homes",
@@ -543,20 +453,72 @@ def _build_result(
     energy: bool = True,
 ) -> ExperimentResult:
     registry = MetricsRegistry()
-    raw = run(
-        detect_races=detect_races,
-        metrics=registry,
-        seed=seed,
-        num_writes=num_writes,
-        object_bytes=object_bytes,
-        num_cold_reads=num_cold_reads,
-        write_seconds=write_seconds,
-        total_seconds=total_seconds,
-        power_budget_watts=power_budget_watts,
-        energy=energy,
-    )
-    staged = raw["variants"]["staged"]
-    through = raw["variants"]["write_through"]
+    variants: Dict[str, Dict] = {}
+    races: List = []
+    for mode in ("staged", "write_through"):
+        summary = run_point(
+            mode,
+            seed=seed,
+            num_writes=num_writes,
+            object_bytes=object_bytes,
+            num_cold_reads=num_cold_reads,
+            write_seconds=write_seconds,
+            total_seconds=total_seconds,
+            power_budget_watts=power_budget_watts,
+            detect_races=detect_races,
+            metrics=registry,
+            energy=energy,
+        )
+        if detect_races:
+            races.extend(summary.pop("races", []))
+        variants[mode] = summary
+    staged = variants["staged"]
+    through = variants["write_through"]
+    anchors = {
+        # Batched sequential demotion amortizes spin-ups that
+        # write-through pays per object.
+        "staged_fewer_spin_ups": staged["spin_ups"] < through["spin_ups"],
+        # Acks come off the always-spinning hot tier.
+        "staged_write_p99_lower": staged["write_p99"] < through["write_p99"],
+        # Background migration must not tax foreground cold readers by
+        # more than 5%.
+        "staged_cold_read_p99_within_5pct": (
+            staged["cold_read_p99"] <= 1.05 * through["cold_read_p99"]
+        ),
+        "staged_lower_energy": staged["energy_joules"] < through["energy_joules"],
+        "exactly_once_both": bool(
+            staged["exactly_once"] and through["exactly_once"]
+        ),
+        "both_drained": bool(staged["drained"] and through["drained"]),
+    }
+    if energy:
+        # §15 conservation identity holds in both variants, and the
+        # background demotion traffic books under the dedicated
+        # migration tenant, never under the user tenant.
+        anchors["energy_conserved"] = all(
+            variant["energy"]["identity"]["conserved"]
+            for variant in variants.values()
+        )
+        anchors["migration_energy_separated"] = (
+            staged["energy"]["accounts"].get("tenant:migration", 0.0) > 0.0
+            and "tenant:migration" not in through["energy"]["accounts"]
+        )
+    raw: Dict = {
+        "params": {
+            "seed": seed,
+            "num_writes": num_writes,
+            "object_bytes": object_bytes,
+            "num_cold_reads": num_cold_reads,
+            "write_seconds": write_seconds,
+            "total_seconds": total_seconds,
+            "power_budget_watts": power_budget_watts,
+            "energy": energy,
+        },
+        "variants": variants,
+        "anchors": anchors,
+    }
+    if detect_races:
+        raw["races"] = races
     metrics_out = {
         "staged_spin_ups": staged["spin_ups"],
         "write_through_spin_ups": through["spin_ups"],
@@ -620,10 +582,3 @@ EXPERIMENT = Experiment(
     },
 )
 
-
-def main() -> str:
-    return EXPERIMENT.run().render()
-
-
-if __name__ == "__main__":
-    print(main())

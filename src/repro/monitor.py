@@ -230,9 +230,4 @@ def _render_metrics(dump: Dict) -> List[str]:
             f"    {name:<24} n={hist['count']:.0f} "
             f"p50={hist['p50']:.4g} p95={hist['p95']:.4g} max={hist['max']:.4g}"
         )
-    for name, stats in sorted(dump.get("spans", {}).items()):
-        lines.append(
-            f"    span {name:<19} n={stats['count']:.0f} "
-            f"total={stats['total_seconds']:.2f}s max={stats['max_seconds']:.2f}s"
-        )
     return lines

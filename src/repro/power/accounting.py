@@ -34,10 +34,42 @@ from repro.power.systems import (
     USB_HOST_ADAPTER_COUNT,
     USB_HOST_ADAPTER_POWER,
 )
-from repro.sim import Event, TimeSeries
+from repro.sim import Event
 from repro.units import Joules, SimSeconds, Watts
 
-__all__ = ["PowerMeter"]
+__all__ = ["PowerMeter", "TimeSeries"]
+
+
+class TimeSeries:
+    """(time, value) samples of a step function."""
+
+    def __init__(self) -> None:
+        self.times: List[float] = []
+        self.values: List[float] = []
+
+    def sample(self, time: float, value: float) -> None:
+        self.times.append(time)
+        self.values.append(value)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def time_weighted_mean(self, end_time: Optional[float] = None) -> float:
+        """Mean of the step function the samples define."""
+        if not self.values:
+            return 0.0
+        if len(self.values) == 1:
+            return self.values[0]
+        end = end_time if end_time is not None else self.times[-1]
+        total = 0.0
+        duration = 0.0
+        for i in range(len(self.values)):
+            t0 = self.times[i]
+            t1 = self.times[i + 1] if i + 1 < len(self.times) else end
+            span = max(0.0, t1 - t0)
+            total += self.values[i] * span
+            duration += span
+        return total / duration if duration > 0 else self.values[-1]
 
 
 class PowerMeter:
@@ -51,7 +83,7 @@ class PowerMeter:
     ):
         self.deployment = deployment
         self.interval = interval
-        self.series = TimeSeries("wall_power_watts")
+        self.series = TimeSeries()
         self.fabric_model = FabricPowerModel(deployment.fabric)
         self.ledger = ledger
         self._process = None

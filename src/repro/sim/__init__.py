@@ -4,6 +4,7 @@ from repro.sim.kernel import (
     SCHEDULERS,
     CalendarQueue,
     Event,
+    EventDigest,
     HeapScheduler,
     Interrupt,
     SimulationError,
@@ -11,24 +12,16 @@ from repro.sim.kernel import (
     Timeout,
     default_scheduler,
     set_default_scheduler,
+    use_digest,
     use_scheduler,
 )
 from repro.sim.process import Process
 from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import (
-    Counter,
-    EventDigest,
-    TimeSeries,
-    TraceRecord,
-    Tracer,
-    records_digest,
-)
 
 __all__ = [
     "CalendarQueue",
     "Container",
-    "Counter",
     "Event",
     "EventDigest",
     "HeapScheduler",
@@ -40,12 +33,9 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Store",
-    "TimeSeries",
-    "TraceRecord",
-    "Tracer",
     "Timeout",
     "default_scheduler",
-    "records_digest",
     "set_default_scheduler",
+    "use_digest",
     "use_scheduler",
 ]

@@ -18,8 +18,8 @@ DESIGN.md §13):
   compare the calendar queue against.
 
 Both pop scheduled items in exactly the same ``(time, priority, seq)``
-order, so :class:`repro.sim.trace.EventDigest` replay fingerprints are
-byte-identical whichever scheduler runs a simulation.
+order, so :class:`EventDigest` replay fingerprints are byte-identical
+whichever scheduler runs a simulation.
 
 This module depends only on the standard library and the (equally
 stdlib-only) :mod:`repro.obs` metrics layer; every other ``repro``
@@ -28,6 +28,7 @@ subsystem is built on it.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from bisect import insort
 from contextlib import contextmanager
@@ -54,6 +55,7 @@ if TYPE_CHECKING:  # avoid an import cycle: analysis only uses stdlib
 __all__ = [
     "CalendarQueue",
     "Event",
+    "EventDigest",
     "HeapScheduler",
     "Interrupt",
     "SCHEDULERS",
@@ -62,6 +64,7 @@ __all__ = [
     "Timeout",
     "default_scheduler",
     "set_default_scheduler",
+    "use_digest",
     "use_scheduler",
 ]
 
@@ -313,6 +316,52 @@ def use_scheduler(name: str) -> Iterator[None]:
         set_default_scheduler(previous)
 
 
+class EventDigest:
+    """Streaming fingerprint of a kernel's event execution order.
+
+    Attach to one or more simulators; every processed event folds its
+    ``(time, priority, seq)`` triple into a running SHA-256.  Identical
+    digests mean the runs popped exactly the same events in exactly the
+    same order — the strongest replay-equality check we have, without
+    storing millions of records.
+    """
+
+    def __init__(self) -> None:
+        self._hash = hashlib.sha256()
+        self.events = 0
+
+    def attach(self, sim: "Simulator") -> "EventDigest":
+        sim.add_step_hook(self.record)
+        return self
+
+    def record(self, time: float, priority: int, seq: int) -> None:
+        self._hash.update(f"{time!r}|{priority}|{seq}\n".encode())
+        self.events += 1
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+_armed_digest: Optional[EventDigest] = None
+
+
+@contextmanager
+def use_digest(digest: EventDigest) -> Iterator[EventDigest]:
+    """Attach ``digest`` to every simulator constructed inside the block.
+
+    Lets ``repro check-determinism`` fingerprint the simulators an
+    experiment builds without threading the digest through its layers;
+    it acts at construction only, so unarmed simulators pay nothing.
+    """
+    global _armed_digest
+    previous = _armed_digest
+    _armed_digest = digest
+    try:
+        yield digest
+    finally:
+        _armed_digest = previous
+
+
 class Event:
     """A one-shot occurrence in simulated time.
 
@@ -490,6 +539,8 @@ class Simulator:
         # With metrics, race detection and step hooks all off, step()
         # takes a fast branch that just pops and processes.
         self._instrumented = self.metrics.enabled or self._race_detector is not None
+        if _armed_digest is not None:
+            _armed_digest.attach(self)
 
     @property
     def now(self) -> float:
@@ -501,8 +552,8 @@ class Simulator:
     def add_step_hook(self, hook: Callable[[float, int, int], None]) -> None:
         """Call ``hook(time, priority, seq)`` before each event runs.
 
-        Used by :class:`repro.sim.trace.EventDigest` to fingerprint the
-        execution order for replay-determinism checks.
+        Used by :class:`EventDigest` to fingerprint the execution order
+        for replay-determinism checks.
         """
         self._step_hooks.append(hook)
         self._instrumented = True

@@ -59,6 +59,18 @@ def test_cell_enumeration_is_deterministic():
     assert digests == [c.digest() for c in _spec().cells()]
 
 
+def test_metrics_dump_schema_is_part_of_the_cache_key(monkeypatch):
+    """A cache written before an ``obs`` layout change is not served."""
+    from repro.obs import MetricsRegistry
+
+    cell = _spec().cells()[0]
+    before = cell.digest()
+    monkeypatch.setattr(
+        MetricsRegistry, "SCHEMA_VERSION", MetricsRegistry.SCHEMA_VERSION + 1
+    )
+    assert cell.digest() != before
+
+
 # -- caching and resume ---------------------------------------------------
 
 

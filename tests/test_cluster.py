@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster import (
+    DeploymentConfig,
     HostStatus,
     build_deployment,
     format_space_id,
@@ -371,3 +372,17 @@ class TestControllerPath:
         assert states_before == states_after  # takeover glitches nothing
         dep.control_plane.set_switch("disksw0", 1)
         assert dep.fabric.node("disksw0").state == 1
+
+
+class TestBootDuringFirstElection:
+    """Sessions opened while the first coordination election is still
+    running keep retrying until a leader answers instead of escaping
+    ``settle()`` with ``NotLeaderError`` (these seeds used to crash at
+    t ~ 1.508 s in ``EndPoint._startup`` / ``Master._candidate_loop``)."""
+
+    @pytest.mark.parametrize("seed", [46, 147, 260])
+    def test_seed_boots_and_settles(self, seed):
+        deployment = build_deployment(config=DeploymentConfig(seed=seed))
+        deployment.settle(15.0)
+        assert deployment.sim.now == 15.0
+        assert deployment.active_master() is not None

@@ -1,46 +1,56 @@
 """Replay-determinism regression: same seeds => byte-identical runs.
 
-Runs the figure5 and reliability experiments twice each with the race
-detector armed and an :class:`EventDigest` attached.  The digests fold
-every processed event's ``(time, priority, seq)`` into SHA-256, so
-equal digests mean the kernels popped exactly the same events in
-exactly the same order.  Results are also compared by ``repr`` to
-cover value-level determinism (figure5 is closed-form and processes no
-events, so its digest alone would be vacuous).
+Runs the figure5 and reliability experiments twice each through the
+registry with the race detector armed and an :class:`EventDigest`
+armed for every simulator they build.  The digests fold every
+processed event's ``(time, priority, seq)`` into SHA-256, so equal
+digests mean the kernels popped exactly the same events in exactly the
+same order.  Results are also compared as result JSON to cover
+value-level determinism.  figure5 settles each deployment
+(``settle_seconds`` > 0) so its digest covers real kernel events rather
+than the empty input of the closed-form default.
 """
 
-from repro.experiments import figure5, reliability
-from repro.sim import EventDigest
+from repro.experiments import EXPERIMENTS
+from repro.sim import EventDigest, use_digest
+
+#: The params ``repro check-determinism`` replays each experiment with.
+PARAMS = {"figure5": {"settle_seconds": 12.0}, "reliability": {}}
 
 
-def run_twice(experiment):
+def run_twice(name):
     digests, results = [], []
     for _ in range(2):
         digest = EventDigest()
-        results.append(experiment.run(detect_races=True, event_digest=digest))
+        with use_digest(digest):
+            results.append(
+                EXPERIMENTS.get(name).run(detect_races=True, **PARAMS[name])
+            )
         digests.append(digest)
     return digests, results
 
 
 def test_figure5_replays_identically():
-    digests, results = run_twice(figure5)
+    digests, results = run_twice("figure5")
     assert digests[0].hexdigest() == digests[1].hexdigest()
-    assert repr(results[0]) == repr(results[1])
+    assert digests[0].events == digests[1].events
+    assert digests[0].events > 0, "settled figure5 should process events"
+    assert results[0].to_json() == results[1].to_json()
 
 
 def test_figure5_reports_no_races():
-    _, results = run_twice(figure5)
-    assert results[0]["races"] == []
+    _, results = run_twice("figure5")
+    assert results[0].raw["races"] == []
 
 
 def test_reliability_replays_identically():
-    digests, results = run_twice(reliability)
+    digests, results = run_twice("reliability")
     assert digests[0].hexdigest() == digests[1].hexdigest()
     assert digests[0].events == digests[1].events
     assert digests[0].events > 0, "reliability should process events"
-    assert repr(results[0]) == repr(results[1])
+    assert results[0].to_json() == results[1].to_json()
 
 
 def test_reliability_reports_no_races():
-    _, results = run_twice(reliability)
-    assert results[0]["races"] == []
+    _, results = run_twice("reliability")
+    assert results[0].raw["races"] == []

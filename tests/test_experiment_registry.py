@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+import repro.experiments
 from repro.experiments import (
-    ALL_EXPERIMENTS,
     EXPERIMENTS,
     Experiment,
     ExperimentRegistry,
@@ -18,8 +18,21 @@ from repro.experiments.common import format_table
 
 class TestRegistry:
     def test_every_module_is_registered(self):
-        assert set(EXPERIMENTS.names()) == set(ALL_EXPERIMENTS)
-        assert len(EXPERIMENTS) == 15
+        assert EXPERIMENTS.names() == [
+            "table1", "table2", "table3", "table4", "table5",
+            "figure5", "figure6", "duplex", "hdfs_switch", "host_failover",
+            "ablations", "reliability", "gateway_slo",
+            "shardstore_small_objects", "tiering_staging",
+        ]
+        for name in EXPERIMENTS.names():
+            module = getattr(repro.experiments, name)
+            assert module.EXPERIMENT is EXPERIMENTS.get(name)
+
+    def test_registry_is_the_only_entry_point(self):
+        for name in EXPERIMENTS.names():
+            module = getattr(repro.experiments, name)
+            assert not hasattr(module, "run"), name
+            assert not hasattr(module, "main"), name
 
     def test_entries_carry_paper_refs(self):
         for name in EXPERIMENTS.names():

@@ -43,7 +43,7 @@ from repro.gateway import (
     mount_gateway_spaces,
 )
 from repro.obs import MetricsRegistry, export_json
-from repro.sim import EventDigest, Simulator
+from repro.sim import EventDigest, Simulator, use_digest
 from repro.workload import MB
 
 
@@ -564,37 +564,8 @@ class TestGatewayDispatch:
 
 
 class TestLegacySubmitShim:
-    def test_positional_submit_warns_and_still_works(self):
-        """The pre-§12 positional shape keeps working but deprecates."""
-        dep, gateway, objects = build_gateway("batch")
-        target = objects[0]
-        holder = []
-
-        def legacy_submit():
-            with pytest.warns(DeprecationWarning):
-                holder.append(
-                    gateway.submit("t0", target.space_id, 0, 1 * MB)
-                )
-            with pytest.warns(DeprecationWarning):
-                holder.append(
-                    gateway.submit(
-                        space_id=target.space_id,
-                        offset=1 * MB,
-                        size=1 * MB,
-                        is_read=False,
-                        tenant="t0",
-                    )
-                )
-
-        dep.sim.call_in(0.0, legacy_submit)
-        drain(dep, gateway)
-        read, write = holder
-        assert read.state is RequestState.COMPLETED
-        assert write.state is RequestState.COMPLETED
-        assert read.is_read and not write.is_read
-        # The shim adapts onto the typed path: the request carries a ref.
-        assert read.ref == ObjectRef(target.space_id, 0, 1 * MB)
-        assert write.ref == ObjectRef(target.space_id, 1 * MB, 1 * MB)
+    """The positional and ``tenant=`` shapes are gone: ``submit`` takes
+    exactly one typed op, and never warns."""
 
     def test_mixed_shapes_are_rejected(self):
         dep, gateway, objects = build_gateway("batch")
@@ -604,8 +575,6 @@ class TestLegacySubmitShim:
             gateway.submit(op, target.space_id, 0, 1 * MB)
         with pytest.raises(TypeError):
             gateway.submit()
-        with pytest.raises(TypeError):
-            gateway.submit("t0", target.space_id)  # missing offset/size
 
     def test_typed_submit_does_not_warn(self):
         dep, gateway, objects = build_gateway("batch")
@@ -703,14 +672,14 @@ class TestGatewaySloExperiment:
         def once():
             digest = EventDigest()
             registry = MetricsRegistry()
-            summary = gateway_slo.run_point(
-                "batch",
-                seed=5,
-                duration=30.0,
-                detect_races=True,
-                event_digest=digest,
-                metrics=registry,
-            )
+            with use_digest(digest):
+                summary = gateway_slo.run_point(
+                    "batch",
+                    seed=5,
+                    duration=30.0,
+                    detect_races=True,
+                    metrics=registry,
+                )
             races = summary.pop("races")
             return digest.hexdigest(), export_json(registry), summary, races
 

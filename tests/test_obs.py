@@ -6,7 +6,6 @@ from repro.obs import (
     DEFAULT_DEPTH_BUCKETS,
     MetricsRegistry,
     NULL_REGISTRY,
-    export_json,
     export_text,
 )
 from repro.sim import Simulator
@@ -68,30 +67,6 @@ class TestHistograms:
         assert hist.percentile(99.0) == 2.0
 
 
-class TestSpans:
-    def test_span_nesting_under_sim_clock(self):
-        registry = MetricsRegistry()
-        sim = Simulator(metrics=registry)
-
-        def outer():
-            with registry.span("outer"):
-                yield sim.timeout(2.0)
-                with registry.span("inner"):
-                    yield sim.timeout(3.0)
-
-        sim.run_until_event(sim.process(outer()))
-        records = {r.name: r for r in registry.spans}
-        assert records["outer"].depth == 0
-        assert records["inner"].depth == 1
-        assert records["inner"].parent_index == records["outer"].index
-        assert records["inner"].start == 2.0
-        assert records["inner"].duration == 3.0
-        assert records["outer"].duration == 5.0
-        summary = registry.span_summary()
-        assert summary["outer"]["count"] == 1.0
-        assert summary["outer"]["total_seconds"] == 5.0
-
-
 class TestNullRegistry:
     def test_disabled_registry_is_a_no_op(self):
         assert NULL_REGISTRY.enabled is False
@@ -101,13 +76,11 @@ class TestNullRegistry:
         gauge.set(9.0)
         hist = NULL_REGISTRY.histogram("h", (1.0,))
         hist.observe(5.0)
-        with NULL_REGISTRY.span("s"):
-            pass
         dump = NULL_REGISTRY.dump()
         assert dump["counters"] == {}
         assert dump["gauges"] == {}
         assert dump["histograms"] == {}
-        assert dump["spans"] == {}
+        assert "spans" not in dump
 
     def test_simulator_defaults_to_null_registry(self):
         sim = Simulator()
@@ -119,25 +92,25 @@ class TestNullRegistry:
 
 class TestDeterministicExport:
     def test_same_seed_figure5_runs_dump_identical_bytes(self):
-        from repro.experiments import figure5
+        from repro.experiments import EXPERIMENTS
 
         dumps = []
         for _ in range(2):
-            registry = MetricsRegistry()
-            figure5.run(metrics=registry, seed=13)
-            dumps.append(export_json(registry))
+            result = EXPERIMENTS.get("figure5").run(seed=13)
+            dumps.append(json.dumps(result.obs, sort_keys=True, separators=(",", ":")))
         assert dumps[0] == dumps[1]
         # And the dump is real, not empty.
         parsed = json.loads(dumps[0])
         assert parsed["counters"]["fabric.allocations"] > 0
+        # Schema 2: counters, gauges and histograms only (no spans).
+        assert parsed["version"] == MetricsRegistry.SCHEMA_VERSION == 2
+        assert set(parsed) == {"version", "counters", "gauges", "histograms"}
 
     def test_export_text_renders_every_section(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(3)
         registry.gauge("g").set(1.5)
         registry.histogram("h", (1.0, 2.0)).observe(1.0)
-        with registry.span("s"):
-            pass
         text = export_text(registry)
-        for token in ("c", "g", "h", "s"):
+        for token in ("counters:", "gauges:", "histograms:"):
             assert token in text

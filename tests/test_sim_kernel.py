@@ -4,15 +4,16 @@ import pytest
 
 from repro.sim import (
     Container,
+    EventDigest,
     Interrupt,
     Resource,
     RngRegistry,
     SimulationError,
     Simulator,
     Store,
-    TimeSeries,
-    Tracer,
+    use_digest,
 )
+from repro.power.accounting import TimeSeries
 
 
 class TestEventBasics:
@@ -454,50 +455,7 @@ class TestRng:
 
 
 class TestTrace:
-    def test_tracer_records_with_time(self):
-        sim = Simulator()
-        tracer = Tracer(lambda: sim.now)
-        sim.call_in(2.0, lambda: tracer.emit("chan", "hello", n=1))
-        sim.run()
-        assert len(tracer.records) == 1
-        rec = tracer.records[0]
-        assert rec.time == 2.0 and rec.channel == "chan" and rec.data == {"n": 1}
-
-    def test_tracer_channel_filter(self):
-        tracer = Tracer(lambda: 0.0)
-        tracer.emit("a", "1")
-        tracer.emit("b", "2")
-        tracer.emit("a", "3")
-        assert [r.message for r in tracer.channel("a")] == ["1", "3"]
-
-    def test_tracer_disable(self):
-        tracer = Tracer(lambda: 0.0)
-        tracer.enabled = False
-        tracer.emit("a", "dropped")
-        assert tracer.records == []
-
-    def test_tracer_subscriber(self):
-        tracer = Tracer(lambda: 0.0)
-        seen = []
-        tracer.subscribe(lambda rec: seen.append(rec.message))
-        tracer.emit("a", "x")
-        assert seen == ["x"]
-
-    def test_timeseries_stats(self):
-        ts = TimeSeries("t")
-        for t, v in [(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)]:
-            ts.sample(t, v)
-        assert ts.mean() == 2.5
-        assert ts.minimum() == 1.0
-        assert ts.maximum() == 4.0
-        assert ts.percentile(50) == 2.5
-        assert ts.last == 4.0
-
-    def test_timeseries_percentile_bounds(self):
-        ts = TimeSeries()
-        ts.sample(0, 5.0)
-        with pytest.raises(ValueError):
-            ts.percentile(101)
+    """The step-function series behind ``PowerMeter``."""
 
     def test_timeseries_time_weighted_mean(self):
         ts = TimeSeries()
@@ -508,6 +466,44 @@ class TestTrace:
 
     def test_empty_timeseries(self):
         ts = TimeSeries()
-        assert ts.mean() == 0.0
-        assert ts.last is None
+        assert ts.time_weighted_mean() == 0.0
         assert len(ts) == 0
+
+
+class TestEventDigestArming:
+    def _run(self, sim):
+        sim.call_in(1.0, lambda: None)
+        sim.call_in(2.0, lambda: None)
+        sim.run()
+
+    def test_armed_digest_attaches_to_simulators_built_in_the_block(self):
+        digest = EventDigest()
+        with use_digest(digest):
+            first = Simulator()
+            second = Simulator()
+        outside = Simulator()
+        for sim in (first, second, outside):
+            self._run(sim)
+        assert digest.events == 4
+        # Same events in the same order as attaching by hand.
+        manual = EventDigest()
+        for _ in range(2):
+            sim = Simulator()
+            manual.attach(sim)
+            self._run(sim)
+        assert manual.hexdigest() == digest.hexdigest()
+
+    def test_nested_blocks_restore_the_outer_digest(self):
+        outer, inner = EventDigest(), EventDigest()
+        with use_digest(outer):
+            with use_digest(inner):
+                self._run(Simulator())
+            self._run(Simulator())
+        self._run(Simulator())
+        assert inner.events == 2
+        assert outer.events == 2
+
+    def test_unarmed_simulator_keeps_the_fast_path(self):
+        sim = Simulator()
+        assert sim._step_hooks == []
+        assert sim._instrumented is False
