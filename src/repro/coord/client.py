@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.coord.service import CoordConfig
-from repro.net.network import Network
+from repro.net.network import Message, Network
 from repro.net.rpc import RemoteError, RpcClient, RpcTimeout
 from repro.sim import Event, Simulator
 
@@ -50,7 +50,7 @@ class CoordSession:
         self._watch_callbacks: Dict[Tuple[str, str], List[Callable[[str, str], None]]] = {}
         self.started = False
         self.expired = False
-        sim.process(self._watch_event_loop())
+        network.attach(address, "watch_event", self._on_watch_event)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -182,17 +182,11 @@ class CoordSession:
                 except (RpcTimeout, RemoteError):
                     pass
 
-    def _watch_event_loop(self) -> Generator[Event, None, None]:
-        node = self.network.node(self.address)
-        while True:
-            message = yield node.inbox.get(
-                lambda m: isinstance(m.payload, dict)
-                and m.payload.get("kind") == "watch_event"
-            )
-            path = message.payload["path"]
-            event_type = message.payload["type"]
-            fired: List[Callable[[str, str], None]] = []
-            for kind in ("node", "children"):
-                fired.extend(self._watch_callbacks.pop((path, kind), []))
-            for callback in fired:
-                callback(path, event_type)
+    def _on_watch_event(self, message: Message) -> None:
+        path = message.payload["path"]
+        event_type = message.payload["type"]
+        fired: List[Callable[[str, str], None]] = []
+        for kind in ("node", "children"):
+            fired.extend(self._watch_callbacks.pop((path, kind), []))
+        for callback in fired:
+            callback(path, event_type)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.net.network import Network
-from repro.net.rpc import RpcServer
+from repro.net.rpc import RemoteError, RpcClient, RpcServer, RpcTimeout
 from repro.sim import Event, Simulator
 from repro.sim.rng import RngRegistry
 from repro.coord.znode import ZnodeError, ZnodeTree
@@ -103,6 +103,9 @@ class CoordReplica:
         self._watches: Dict[str, List[Tuple[str, str]]] = {}
 
         self._election_deadline = 0.0
+        # Each replica owns the client it calls its peers with, so no
+        # state is shared between replicas or between simulators.
+        self.peer_client = RpcClient(sim, network, f"{address}.peerclient")
         self.rpc = RpcServer(sim, network, address)
         self.rpc.register("coord.request_vote", self._on_request_vote)
         self.rpc.register("coord.append_entries", self._on_append_entries)
@@ -164,13 +167,10 @@ class CoordReplica:
         self.voted_for = self.address
         votes = 1
         last_epoch, last_index = self._last_log_position()
-        from repro.net.rpc import RpcClient  # local import to avoid cycle at module load
-
-        client = _replica_client(self)
         pending = [
             self.sim.process(
                 _safe_call(
-                    client,
+                    self.peer_client,
                     peer,
                     "coord.request_vote",
                     epoch,
@@ -244,20 +244,17 @@ class CoordReplica:
         next_index = self._next_index.get(peer, len(self.log))
         prev_epoch = self.log[next_index - 1].epoch if next_index > 0 else 0
         entries = self.log[next_index:]
-        client = _replica_client(self)
-        reply = yield self.sim.process(
-            _safe_call(
-                client,
-                peer,
-                "coord.append_entries",
-                epoch,
-                self.address,
-                next_index,
-                prev_epoch,
-                [(e.epoch, e.index, e.op) for e in entries],
-                self.commit_index,
-                timeout=self.config.heartbeat_interval * 2,
-            )
+        reply = yield from _safe_call(
+            self.peer_client,
+            peer,
+            "coord.append_entries",
+            epoch,
+            self.address,
+            next_index,
+            prev_epoch,
+            [(e.epoch, e.index, e.op) for e in entries],
+            self.commit_index,
+            timeout=self.config.heartbeat_interval * 2,
         )
         if reply is None or self.crashed or self.role is not Role.LEADER:
             return
@@ -502,32 +499,13 @@ class CoordReplica:
 # helpers
 # ----------------------------------------------------------------------
 
-_CLIENTS: Dict[str, Any] = {}
 
-
-def _replica_client(replica: CoordReplica):
-    """One shared RpcClient per replica (lazy, avoids inbox contention)."""
-    from repro.net.rpc import RpcClient
-
-    key = replica.address
-    client = _CLIENTS.get(key)
-    if client is None or client.sim is not replica.sim:
-        client = RpcClient(replica.sim, replica.network, f"{key}.peerclient")
-        _CLIENTS[key] = client
-    return client
-
-
-def _safe_call(client, target: str, method: str, *args, timeout: float):
-    """RPC call that yields None instead of raising on failure."""
-    from repro.net.rpc import RemoteError, RpcTimeout
-
-    def run() -> Generator[Event, None, Any]:
-        try:
-            result = yield client.sim.process(
-                client.call(target, method, *args, timeout=timeout)
-            )
-            return result
-        except (RpcTimeout, RemoteError):
-            return None
-
-    return run()
+def _safe_call(
+    client: RpcClient, target: str, method: str, *args: Any, timeout: float
+) -> Generator[Event, None, Any]:
+    """RPC call that returns None instead of raising on failure."""
+    try:
+        result = yield from client.call(target, method, *args, timeout=timeout)
+    except (RpcTimeout, RemoteError):
+        return None
+    return result

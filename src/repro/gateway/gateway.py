@@ -43,7 +43,7 @@ from repro.cluster.namespace import parse_space_id
 from repro.disk.device import SimulatedDisk
 from repro.disk.states import DiskPowerState
 from repro.obs import DEFAULT_DEPTH_BUCKETS
-from repro.power.policy import AdaptiveTimeoutPolicy, FixedTimeoutPolicy, run_policy
+from repro.power.policy import FixedTimeoutPolicy, run_policy
 from repro.sim import Event, Simulator
 from repro.units import SimSeconds, Watts
 
@@ -72,6 +72,14 @@ __all__ = [
 ]
 
 
+#: Dispatcher back-off while budget-blocked with nothing in flight.
+POLL_INTERVAL = SimSeconds(1.0)
+#: Idle timeout of the fixed spin-down policy the gateway runs.
+SPIN_DOWN_IDLE_SECONDS = SimSeconds(12.0)
+#: How often that policy checks the gateway's disks.
+POLICY_CHECK_INTERVAL = SimSeconds(2.0)
+
+
 @dataclass(frozen=True)
 class GatewayConfig:
     """Gateway tuning knobs; defaults model a 3-disk power envelope."""
@@ -84,14 +92,6 @@ class GatewayConfig:
     watts_per_disk: Optional[Watts] = None
     scheduler: str = "batch"
     max_batch: int = 64
-    #: Dispatcher back-off while budget-blocked with nothing in flight.
-    poll_interval: SimSeconds = SimSeconds(1.0)
-    #: Idle timeout handed to the spin-down policy loop.
-    spin_down_idle_seconds: SimSeconds = SimSeconds(12.0)
-    policy_check_interval: SimSeconds = SimSeconds(2.0)
-    run_spin_down_policy: bool = True
-    #: Use §IV-F's thrash-adaptive policy instead of the fixed timeout.
-    adaptive_spin_down: bool = False
     #: Sub-block coalescing window: reads in the same space whose
     #: extents fall within this many bytes of each other share one
     #: disk pass (0 merges only overlapping/adjacent extents).  The
@@ -283,28 +283,19 @@ class Gateway:
         self._started = True
         self._baseline_spin_ups = self._total_spin_ups()
         self._baseline_energy = self._total_energy()
-        if self.config.run_spin_down_policy:
-            if self.config.adaptive_spin_down:
-                policy: object = AdaptiveTimeoutPolicy(
-                    idle_timeout=self.config.spin_down_idle_seconds
-                )
-            else:
-                policy = FixedTimeoutPolicy(
-                    idle_timeout=self.config.spin_down_idle_seconds
-                )
-            pinned = set(self.config.pinned_disks)
-            policy_disks = {
-                disk_id: disk
-                for disk_id, disk in self._disks.items()
-                if disk_id not in pinned
-            }
-            if policy_disks:
-                run_policy(
-                    self.sim,
-                    policy_disks,
-                    policy,
-                    check_interval=self.config.policy_check_interval,
-                )
+        pinned = set(self.config.pinned_disks)
+        policy_disks = {
+            disk_id: disk
+            for disk_id, disk in self._disks.items()
+            if disk_id not in pinned
+        }
+        if policy_disks:
+            run_policy(
+                self.sim,
+                policy_disks,
+                FixedTimeoutPolicy(idle_timeout=SPIN_DOWN_IDLE_SECONDS),
+                check_interval=POLICY_CHECK_INTERVAL,
+            )
         return self.sim.process(self._dispatcher())
 
     # -- admission --------------------------------------------------------
@@ -410,7 +401,7 @@ class Gateway:
                     # Budget-blocked with nothing running: poll so the
                     # spin-down policy's progress is eventually seen.
                     self.sim.defer(
-                        self.config.poll_interval,
+                        POLL_INTERVAL,
                         lambda kick=kick: self._poll(kick),
                     )
             yield kick

@@ -5,14 +5,20 @@ serialization delay.  Nodes are addressed by name; a crashed node
 silently drops traffic in both directions, and explicit partitions can
 sever pairs of nodes — enough to exercise heartbeat loss, failover and
 remount behaviour in the management stack.
+
+Payloads are dicts tagged with a ``kind``.  Each node registers one
+receiver per kind, and delivery calls it directly with the
+:class:`Message`; there is no mailbox in between.  A message whose
+destination has no receiver for its kind is dropped and counted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
-from repro.sim import Simulator, Store
+from repro.sim import Simulator
 from repro.sim.rng import RngRegistry
 
 __all__ = ["Message", "NetNode", "Network"]
@@ -26,19 +32,24 @@ class Message:
     size: int = 0
     sent_at: float = 0.0
 
+    @property
+    def kind(self) -> Optional[str]:
+        """The payload's ``kind`` tag (None for an untagged payload)."""
+        payload = self.payload
+        return payload.get("kind") if isinstance(payload, dict) else None
+
+
+#: Called with each delivered message of the kind it is registered for.
+Receiver = Callable[[Message], None]
+
 
 class NetNode:
-    """One addressable endpoint with an inbox."""
+    """One addressable endpoint with one receiver per message kind."""
 
-    def __init__(self, sim: Simulator, address: str):
-        self.sim = sim
+    def __init__(self, address: str):
         self.address = address
-        self.inbox: Store = Store(sim)
+        self.receivers: Dict[str, Receiver] = {}
         self.alive = True
-
-    def receive(self):
-        """Event yielding the next :class:`Message`."""
-        return self.inbox.get()
 
 
 class Network:
@@ -68,12 +79,21 @@ class Network:
     def add_node(self, address: str) -> NetNode:
         if address in self._nodes:
             raise ValueError(f"duplicate network address {address!r}")
-        node = NetNode(self.sim, address)
+        node = NetNode(address)
         self._nodes[address] = node
         return node
 
     def node(self, address: str) -> NetNode:
         return self._nodes[address]
+
+    def attach(self, address: str, kind: str, receiver: Receiver) -> NetNode:
+        """Deliver every ``kind`` message sent to ``address`` to
+        ``receiver``, adding the node if it is new; one receiver per kind."""
+        node = self._nodes.get(address) or self.add_node(address)
+        if kind in node.receivers:
+            raise ValueError(f"{address!r} already has a receiver for {kind!r}")
+        node.receivers[kind] = receiver
+        return node
 
     def __contains__(self, address: str) -> bool:
         return address in self._nodes
@@ -115,21 +135,19 @@ class Network:
         delay = self.latency + size / self.bandwidth
         if self.jitter > 0:
             delay += self._rng.uniform(0, self.jitter)
-
-        def deliver() -> None:
-            node = self._nodes.get(dst)
-            if node is None or not node.alive or self._blocked(src, dst):
-                self.dropped_count += 1
-                return
-            if not self._nodes[src].alive:
-                # Sender died mid-flight; the packet is already on the
-                # wire, deliver it anyway (TCP would too).
-                pass
-            self.delivered_count += 1
-            self.bytes_carried += size
-            node.inbox.put(message)
-
         if self._blocked(src, dst):
             self.dropped_count += 1
             return
-        self.sim.call_in(delay, deliver)
+        self.sim.defer(delay, partial(self._deliver, message))
+
+    def _deliver(self, message: Message) -> None:
+        # A sender that died mid-flight still delivers: the packet is
+        # already on the wire (TCP would too).
+        node = self._nodes[message.dst]
+        receiver = node.receivers.get(message.kind)
+        if receiver is None or not node.alive or self._blocked(message.src, message.dst):
+            self.dropped_count += 1
+            return
+        self.delivered_count += 1
+        self.bytes_carried += message.size
+        receiver(message)

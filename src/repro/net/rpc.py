@@ -2,15 +2,20 @@
 
 Handlers may return either a plain value or a generator (a simulation
 process) whose return value becomes the response — so a handler can
-perform simulated disk I/O before replying.  Remote exceptions are
-re-raised at the caller as :class:`RemoteError`; lost messages surface
-as :class:`RpcTimeout`.
+perform simulated disk I/O before replying.  A plain handler runs and
+replies inside the delivery of its request; only a generator handler
+gets a process of its own.  Remote exceptions are re-raised at the
+caller as :class:`RemoteError`; lost messages surface as
+:class:`RpcTimeout`.
+
+Each call waits on one reply event, settled by whichever comes first:
+the response's delivery or the call's deadline.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Generator
 
 from repro.net.network import Message, Network
 from repro.sim import Event, Interrupt, Simulator
@@ -37,50 +42,56 @@ class RpcServer:
         self.sim = sim
         self.network = network
         self.address = address
-        if address not in network:
-            network.add_node(address)
-        self._node = network.node(address)
+        network.attach(address, _REQUEST, self._on_request)
         self._handlers: Dict[str, Callable[..., Any]] = {}
         self.requests_served = 0
-        sim.process(self._serve_loop())
 
     def register(self, method: str, handler: Callable[..., Any]) -> None:
         if method in self._handlers:
             raise ValueError(f"handler for {method!r} already registered")
         self._handlers[method] = handler
 
-    def _serve_loop(self) -> Generator[Event, Message, None]:
-        while True:
-            # Predicate get: responses and raw messages on the same node
-            # stay available for their own consumers.
-            message = yield self._node.inbox.get(
-                lambda m: isinstance(m.payload, dict)
-                and m.payload.get("kind") == _REQUEST
-            )
-            self.sim.process(self._handle(message, message.payload))
-
-    def _handle(self, message: Message, payload: dict) -> Generator[Event, Any, None]:
+    def _on_request(self, message: Message) -> None:
+        payload = message.payload
         method = payload["method"]
-        request_id = payload["id"]
-        response: Dict[str, Any] = {"kind": _RESPONSE, "id": request_id}
         handler = self._handlers.get(method)
         if handler is None:
-            response["error"] = f"no such method {method!r}"
+            self._reply(message, "error", f"no such method {method!r}")
+            return
+        try:
+            result = handler(*payload.get("args", ()), **payload.get("kwargs", {}))
+        except Exception as exc:  # noqa: BLE001 - forwarded to caller
+            self._reply(message, "error", f"{type(exc).__name__}: {exc}")
+            return
+        if hasattr(result, "send") and hasattr(result, "throw"):
+            self.sim.process(self._finish(message, result))
         else:
-            try:
-                result = handler(*payload.get("args", ()), **payload.get("kwargs", {}))
-                if hasattr(result, "send") and hasattr(result, "throw"):
-                    result = yield self.sim.process(result)
-                response["result"] = result
-            except Interrupt:
-                # A kernel interrupt (server torn down mid-request) must
-                # reach the kernel, not be forwarded as an RPC error.
-                raise
-            except Exception as exc:  # noqa: BLE001 - forwarded to caller
-                response["error"] = f"{type(exc).__name__}: {exc}"
+            self._reply(message, "result", result)
+
+    def _finish(
+        self, message: Message, handler: Generator[Event, Any, Any]
+    ) -> Generator[Event, Any, None]:
+        """Run a generator handler to completion, then reply."""
+        try:
+            result = yield from handler
+        except Interrupt:
+            # A kernel interrupt (server torn down mid-request) must
+            # reach the kernel, not be forwarded as an RPC error.
+            raise
+        except Exception as exc:  # noqa: BLE001 - forwarded to caller
+            self._reply(message, "error", f"{type(exc).__name__}: {exc}")
+            return
+        self._reply(message, "result", result)
+
+    def _reply(self, message: Message, outcome: str, value: Any) -> None:
+        """Send ``{outcome: value}`` (``result`` or ``error``) back."""
+        payload = message.payload
         self.requests_served += 1
         self.network.send(
-            self.address, message.src, response, size=payload.get("response_size", 256)
+            self.address,
+            message.src,
+            {"kind": _RESPONSE, "id": payload["id"], outcome: value},
+            size=payload.get("response_size", 256),
         )
 
 
@@ -91,27 +102,20 @@ class RpcClient:
         self.sim = sim
         self.network = network
         self.address = address
-        if address not in network:
-            network.add_node(address)
-        self._node = network.node(address)
+        network.attach(address, _RESPONSE, self._on_response)
         self._ids = itertools.count(1)
         self._pending: Dict[int, Event] = {}
-        sim.process(self._response_loop())
 
-    def _response_loop(self) -> Generator[Event, Message, None]:
-        while True:
-            message = yield self._node.inbox.get(
-                lambda m: isinstance(m.payload, dict)
-                and m.payload.get("kind") == _RESPONSE
-            )
-            payload = message.payload
-            waiter = self._pending.pop(payload["id"], None)
-            if waiter is None or waiter.triggered:
-                continue  # response after timeout: drop
-            if "error" in payload:
-                waiter.fail(RemoteError(payload["error"]))
-            else:
-                waiter.succeed(payload.get("result"))
+    def _on_response(self, message: Message) -> None:
+        payload = message.payload
+        reply = self._pending.pop(payload["id"], None)
+        if reply is None:
+            return  # response after timeout: drop
+        if "error" in payload:
+            reply.fail(RemoteError(payload["error"]))
+            reply.defuse()
+        else:
+            reply.succeed(payload.get("result"))
 
     def call(
         self,
@@ -123,10 +127,12 @@ class RpcClient:
         response_size: int = 256,
         **kwargs: Any,
     ) -> Generator[Event, Any, Any]:
-        """Generator process performing one call; yields the result.
+        """Perform one call and return its result.
 
-        Use as ``result = yield sim.process(client.call(...))`` or
-        ``yield from`` inside another process.
+        A generator: use as ``result = yield from client.call(...)``
+        inside a process.  Raises :class:`RemoteError` if the handler
+        raised and :class:`RpcTimeout` if no response arrived within
+        ``timeout`` seconds.
         """
         request_id = next(self._ids)
         payload = {
@@ -137,14 +143,15 @@ class RpcClient:
             "kwargs": kwargs,
             "response_size": response_size,
         }
-        waiter = self.sim.event()
-        self._pending[request_id] = waiter
+        reply = self.sim.event()
+        self._pending[request_id] = reply
         self.network.send(self.address, target, payload, size=request_size)
-        deadline = self.sim.timeout(timeout)
-        result = yield self.sim.any_of([waiter, deadline])
-        if not waiter.triggered:
-            self._pending.pop(request_id, None)
-            raise RpcTimeout(f"{method} to {target} timed out after {timeout}s")
-        if not waiter.ok:
-            raise waiter.value
-        return waiter.value
+
+        def expire() -> None:
+            if self._pending.pop(request_id, None) is reply:
+                reply.fail(RpcTimeout(f"{method} to {target} timed out after {timeout}s"))
+                reply.defuse()
+
+        self.sim.defer(timeout, expire)
+        result = yield reply
+        return result

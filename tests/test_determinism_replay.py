@@ -54,3 +54,30 @@ def test_reliability_replays_identically():
 def test_reliability_reports_no_races():
     _, results = run_twice("reliability")
     assert results[0].raw["races"] == []
+
+
+def _deployment_digest(seed, interleave_seed=None, seconds=60.0, step=10.0):
+    """Digest of a deployment settled for ``seconds``; with
+    ``interleave_seed``, a second deployment is driven in alternation
+    with it, ``step`` seconds at a time."""
+    from repro.cluster import DeploymentConfig, build_deployment
+
+    deployment = build_deployment(config=DeploymentConfig(seed=seed))
+    digest = EventDigest().attach(deployment.sim)
+    other = None
+    if interleave_seed is not None:
+        other = build_deployment(config=DeploymentConfig(seed=interleave_seed))
+    while deployment.sim.now < seconds:
+        deployment.settle(step)
+        if other is not None:
+            other.settle(step)
+    return digest
+
+
+def test_deployment_replays_identically_when_interleaved():
+    # Two simulators in one process share no hidden state: driving a
+    # second deployment in between leaves the first one's run unchanged.
+    alone = _deployment_digest(5)
+    interleaved = _deployment_digest(5, interleave_seed=6)
+    assert interleaved.events == alone.events > 0
+    assert interleaved.hexdigest() == alone.hexdigest()

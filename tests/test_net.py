@@ -23,33 +23,66 @@ def make_net():
     return sim, Network(sim, jitter=0.0)
 
 
+def collect(sim, net, address, kind="test"):
+    """Attach a receiver for ``kind`` at ``address``; returns the list of
+    ``(delivery time, message)`` pairs it records."""
+    received = []
+    net.attach(address, kind, lambda message: received.append((sim.now, message)))
+    return received
+
+
+def tagged(body):
+    return {"kind": "test", "body": body}
+
+
 class TestNetwork:
     def test_delivery_with_latency(self):
         sim, net = make_net()
         net.add_node("a")
-        b = net.add_node("b")
-        net.send("a", "b", "hello", size=0)
-        message = sim.run_until_event(b.receive())
-        assert message.payload == "hello"
-        assert sim.now == pytest.approx(net.latency)
+        received = collect(sim, net, "b")
+        net.send("a", "b", tagged("hello"), size=0)
+        sim.run()
+        [(when, message)] = received
+        assert message.payload["body"] == "hello"
+        assert (message.src, message.dst) == ("a", "b")
+        assert when == pytest.approx(net.latency)
 
     def test_size_adds_serialization_delay(self):
         sim, net = make_net()
         net.add_node("a")
-        b = net.add_node("b")
-        net.send("a", "b", "big", size=1_250_000)  # 10 ms at 1 GbE
-        sim.run_until_event(b.receive())
-        assert sim.now == pytest.approx(net.latency + 0.01)
+        received = collect(sim, net, "b")
+        net.send("a", "b", tagged("big"), size=1_250_000)  # 10 ms at 1 GbE
+        sim.run()
+        [(when, _)] = received
+        assert when == pytest.approx(net.latency + 0.01)
 
     def test_dead_receiver_drops(self):
         sim, net = make_net()
         net.add_node("a")
-        net.add_node("b")
+        received = collect(sim, net, "b")
         net.set_alive("b", False)
-        net.send("a", "b", "x")
+        net.send("a", "b", tagged("x"))
         sim.run()
         assert net.dropped_count == 1
-        assert len(net.node("b").inbox.items) == 0
+        assert received == []
+
+    def test_message_without_receiver_is_dropped_and_counted(self):
+        sim, net = make_net()
+        net.add_node("a")
+        received = collect(sim, net, "b")
+        net.send("a", "b", {"kind": "other"})
+        net.send("a", "b", "untagged")
+        sim.run()
+        assert received == []
+        assert net.dropped_count == 2
+        assert net.delivered_count == 0
+
+    def test_one_receiver_per_kind(self):
+        sim, net = make_net()
+        collect(sim, net, "b")
+        with pytest.raises(ValueError):
+            collect(sim, net, "b")
+        collect(sim, net, "b", kind="other")  # a second kind is fine
 
     def test_dead_sender_drops(self):
         sim, net = make_net()
@@ -73,17 +106,19 @@ class TestNetwork:
 
     def test_partition_blocks_both_ways(self):
         sim, net = make_net()
-        net.add_node("a")
-        net.add_node("b")
+        at_a = collect(sim, net, "a")
+        at_b = collect(sim, net, "b")
         net.partition("a", "b")
-        net.send("a", "b", "x")
-        net.send("b", "a", "y")
+        net.send("a", "b", tagged("x"))
+        net.send("b", "a", tagged("y"))
         sim.run()
         assert net.dropped_count == 2
+        assert at_a == [] and at_b == []
         net.heal("a", "b")
-        net.send("a", "b", "z")
+        net.send("a", "b", tagged("z"))
         sim.run()
         assert net.delivered_count == 1
+        assert [m.payload["body"] for _, m in at_b] == ["z"]
 
     def test_duplicate_address_rejected(self):
         _, net = make_net()
@@ -173,6 +208,36 @@ class TestRpc:
                 sim.process(client.call("server", "x", timeout=1.0))
             )
         assert sim.now == pytest.approx(1.0)
+
+    def test_abandoned_calls_never_raise_in_the_kernel(self):
+        # A caller interrupted mid-call leaves its reply event behind;
+        # a late error response or the deadline must settle it quietly
+        # rather than surface at kernel level.
+        sim, net = make_net()
+        server = RpcServer(sim, net, "server")
+
+        def fail_later():
+            yield sim.timeout(1.0)
+            raise ValueError("late")
+
+        server.register("fail_later", fail_later)
+        RpcServer(sim, net, "dead")
+        net.set_alive("dead", False)
+        client = RpcClient(sim, net, "client")
+
+        def caller(target, timeout):
+            try:
+                yield from client.call(target, "fail_later", timeout=timeout)
+            except Interrupt:
+                return "gone"
+
+        error_caller = sim.process(caller("server", 5.0))
+        timeout_caller = sim.process(caller("dead", 2.0))
+        sim.call_in(0.1, error_caller.interrupt)
+        sim.call_in(0.1, timeout_caller.interrupt)
+        assert sim.run() == pytest.approx(5.0)
+        assert error_caller.value == timeout_caller.value == "gone"
+        assert server.requests_served == 1
 
     def test_duplicate_handler_rejected(self):
         sim, net = make_net()
